@@ -39,7 +39,7 @@
  *
  * Determinism contract:
  *  - pure serial arithmetic over the schedule: byte-identical at any
- *    ASCEND_THREADS / chip-sim grain;
+ *    ASCEND_THREADS;
  *  - on an empty FaultSchedule with default ElasticOptions the result
  *    equals the cluster::collective closed forms bit-for-bit (every
  *    elastic adjustment is guarded so the fault-free path performs

@@ -2,11 +2,9 @@
  * @file
  * Deterministic discrete-event simulation kernel.
  *
- * The repo grew three hand-rolled event loops — the fluid chip sim's
- * grain-sliced phase loop, the elastic cluster engine's recovery
- * state machine, and the per-bench sweep drivers — each carrying its
- * own determinism, checkpoint, and tracing contract. This kernel is
- * the one substrate they all run on:
+ * The fluid chip sim, the elastic cluster engine and the serving
+ * fleet all run their event loops on this kernel, so they share one
+ * determinism, checkpoint, and tracing contract:
  *
  *  - a canonical event queue ordered by the stable key
  *    (time, priority, seq): earlier simulated time first, then lower
@@ -17,7 +15,9 @@
  *    runtime::parallelFor. Slice boundaries depend only on n and the
  *    grain — never on ASCEND_THREADS — so slice-local partials
  *    combine identically however slices are scheduled. Phases are
- *    instantaneous in sim time (a barrier, not an interval);
+ *    instantaneous in sim time (a barrier, not an interval). No
+ *    client in src/ uses them today: the chip sim's per-event work
+ *    is too small to pay for a fan-out;
  *  - first-class hooks for the rest of the stack: phase executions
  *    emit obs:: tracer spans (Domain::Kernel), retired kernels charge
  *    dispatch/phase/queue counters into runtime::kernelTotals() for

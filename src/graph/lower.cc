@@ -7,6 +7,7 @@
 
 #include "obs/tracer.hh"
 #include "runtime/perf_stats.hh"
+#include "surrogate/surrogate.hh"
 
 namespace ascend {
 namespace graph {
@@ -85,10 +86,14 @@ toNetwork(const Graph &g)
 std::string
 graphCacheKey(const runtime::SimSession &session, const Graph &g)
 {
-    return runtime::fingerprint(session.config()) +
-           runtime::fingerprint(session.options()) +
-           runtime::fingerprint(session.resilience()) +
-           g.fingerprint();
+    std::string key = runtime::fingerprint(session.config()) +
+                      runtime::fingerprint(session.options()) +
+                      runtime::fingerprint(session.resilience());
+    // Surrogate totals are predictions: keep them apart from exact
+    // ones. Exact sessions keep their key, so saved caches still hit.
+    if (session.surrogateOptions().enabled)
+        key += surrogate::fingerprint(session.surrogateOptions());
+    return key + g.fingerprint();
 }
 
 GraphRun

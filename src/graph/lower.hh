@@ -85,7 +85,8 @@ core::SimResult graphResult(const runtime::SimSession &session,
 
 /**
  * The whole-graph memo key: fingerprint(config) + fingerprint(options)
- * + fingerprint(resilience) + Graph::fingerprint(). Ends in
+ * + fingerprint(resilience), then the surrogate fingerprint when the
+ * session's surrogate is enabled, then Graph::fingerprint(). Ends in
  * "agr:<hash>", so runtime::parseLayerFingerprint rejects it — graph
  * totals can never be mistaken for per-layer entries.
  */

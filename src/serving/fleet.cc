@@ -10,13 +10,13 @@
  * enforce it with real SIGKILLs.
  *
  * Each decision instant t is a chain of kernel events tie-broken by
- * priority: quiescent marker (0) whose hook takes the cadenced
- * on-disk checkpoint, fault poll (1, ONE due fault per dispatch,
- * self-re-arming), then the step (2). The step processes — in a fixed
- * order — completions, replica spin-ups, due arrivals (admission
- * control), hedge checks, the autoscaler, and dispatch over idle
- * replicas in index order, then arms the next chain at the earliest
- * future decision instant. armStep() advances s.simTimeSec *before*
+ * priority: quiescent marker (0, only with a checkpoint store) whose
+ * hook takes the cadenced on-disk checkpoint, fault poll (1, ONE due
+ * fault per dispatch, self-re-arming), then the step (2). The step
+ * processes — in a fixed order — completions, replica spin-ups, due
+ * arrivals (admission control), hedge checks, the autoscaler, and
+ * dispatch over idle replicas in index order, then arms the next
+ * chain at the earliest future decision instant. armStep() advances s.simTimeSec *before*
  * scheduling, so the state a quiescent save captures says "chain at t
  * not yet run": a resumed run re-enters at t and replays the fault
  * poll and step exactly as the uninterrupted run dispatched them.
@@ -1038,12 +1038,17 @@ struct FleetEngine
                s.scaleUpsLeft == 0;
     }
 
-    /** Arm the chain at @p t: quiescent(0), fault poll(1), step(2). */
+    /**
+     * Arm the chain at @p t: quiescent(0), fault poll(1), step(2).
+     * The quiescent marker exists only for the checkpoint hook, so a
+     * run without a store skips it.
+     */
     void
     armStep(des::Kernel &k, double t)
     {
         s.simTimeSec = t;
-        k.scheduleQuiescent(t, 0);
+        if (store)
+            k.scheduleQuiescent(t, 0);
         k.schedule(t, 1, "serving.poll-faults",
                    [this](des::Kernel &kk) { pollFaults(kk); });
         k.schedule(t, 2, "serving.step",

@@ -2,29 +2,25 @@
  * @file
  * Fluid chip simulation implementation — a des::Kernel client.
  *
- * Each rate re-solve of the fluid model is one kernel event: the
- * handler counts memory-active tasks, solves the time to the next
- * completion, advances the kernel clock by that dt, advances per-core
- * state, and re-arms itself while work remains. The parallel pieces
- * run as kernel *phases* (fixed-grain slices over
- * runtime::parallelFor); the kernel grain is ASCEND_CHIPSIM_GRAIN.
+ * Each rate re-solve of the fluid model is one kernel event. The
+ * handler solves the time to the next completion, advances the kernel
+ * clock by that dt, then makes one serial pass over the active cores
+ * in index order: it advances each core, folds its drained bytes into
+ * the shared accumulator, reloads finished cores and tallies what the
+ * next re-solve needs (memory-active count, smallest remaining
+ * compute and bytes). It re-arms itself while work remains.
  *
- * Determinism notes (the sweep benches diff output across thread
- * counts): every kernel phase below either reduces with exact
- * operations (min over doubles, integer counts) over slices whose
- * boundaries are thread-count independent, or writes core-local state
- * that a serial core-index-ordered pass then folds into the shared
- * accumulators. The arithmetic sequence is identical to a fully
- * serial run — and to the pre-kernel hand-rolled loop, which the
- * checked-in tests/golden/ outputs pin — so output is byte-identical
- * at any ASCEND_THREADS and any ASCEND_CHIPSIM_GRAIN.
+ * Determinism notes: the pass is serial and in core-index order, so
+ * the one non-exact reduction (the floating-point byte sum) has a
+ * fixed sequence and output is byte-identical at any ASCEND_THREADS.
+ * The arithmetic matches the pre-kernel hand-rolled loop, which the
+ * checked-in tests/golden/ outputs pin.
  */
 
 #include "soc/chip_sim.hh"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -40,14 +36,6 @@ namespace ascend {
 namespace soc {
 
 namespace {
-
-/** Slice count of a fixed-grain partition of [0, n). */
-std::size_t
-sliceCount(std::size_t n, std::size_t grain)
-{
-    grain = std::max<std::size_t>(grain, 1);
-    return (n + grain - 1) / grain;
-}
 
 [[noreturn]] void
 throwGuard(const char *which, int events, double now,
@@ -80,36 +68,7 @@ traceNs(double seconds)
     return std::uint64_t(std::llround(seconds * 1e9));
 }
 
-/** One chip-sim kernel sized by the chip options. */
-des::KernelOptions
-kernelOptions(const ChipSimOptions &options)
-{
-    des::KernelOptions kopt;
-    kopt.parallelGrain = options.parallelGrain;
-    return kopt;
-}
-
 } // anonymous namespace
-
-ChipSimOptions
-ChipSimOptions::fromEnv()
-{
-    static const std::size_t grain = [] {
-        const ChipSimOptions defaults;
-        const char *env = std::getenv("ASCEND_CHIPSIM_GRAIN");
-        if (env && *env) {
-            char *end = nullptr;
-            const long v = std::strtol(env, &end, 10);
-            if (end && *end == '\0' && v > 0)
-                return std::size_t(v);
-            // Malformed values fall through to the built-in default.
-        }
-        return defaults.parallelGrain;
-    }();
-    ChipSimOptions options;
-    options.parallelGrain = grain;
-    return options;
-}
 
 ChipSimResult
 runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
@@ -126,15 +85,11 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         std::size_t next = 0;
         double computeLeft = 0;
         double bytesLeft = 0;
-        double moved = 0; ///< bytes drained in the current event
         bool active = false;
         double taskStart = 0; ///< sim time the current task began
         double finish = 0;
     };
     std::vector<CoreState> state(cores);
-    // Spans carry only sim-time fields, so recording from the
-    // parallel advance below is safe: the tracer's merge step
-    // restores a deterministic order.
     obs::Tracer *const tracer = obs::Tracer::current();
 
     auto load_next = [&](std::size_t c, double now) {
@@ -159,116 +114,88 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
     for (std::size_t c = 0; c < cores; ++c)
         load_next(c, now);
 
+    // What the next rate re-solve needs, tallied over the active set
+    // by the pass that leaves it: the memory-active task count and
+    // the smallest remaining compute and bytes.
+    const double inf = std::numeric_limits<double>::infinity();
+    unsigned mem_active = 0;
+    double min_compute = inf;
+    double min_bytes = inf;
+    auto tally = [&](const CoreState &cs) {
+        if (cs.computeLeft > 0)
+            min_compute = std::min(min_compute, cs.computeLeft);
+        if (cs.bytesLeft > 0) {
+            ++mem_active;
+            min_bytes = std::min(min_bytes, cs.bytesLeft);
+        }
+    };
+
     // Active-core index set, ascending: finished cores leave every
     // scan, so one event costs O(active cores), not O(all cores).
     std::vector<std::size_t> active;
     active.reserve(cores);
-    for (std::size_t c = 0; c < cores; ++c)
-        if (state[c].active)
+    for (std::size_t c = 0; c < cores; ++c) {
+        if (state[c].active) {
             active.push_back(c);
+            tally(state[c]);
+        }
+    }
 
-    const std::size_t grain = options.parallelGrain;
-    std::vector<unsigned> slice_mem(sliceCount(cores, grain));
-    std::vector<double> slice_dt(slice_mem.size());
-
-    des::Kernel kernel(kernelOptions(options));
+    des::Kernel kernel;
     int guard = 0;
 
     // One rate re-solve per kernel event; the handler re-arms itself
     // while any core is still active.
     std::function<void(des::Kernel &)> resolve;
     resolve = [&](des::Kernel &k) {
-        const std::size_t n = active.size();
-        const std::size_t slices = sliceCount(n, grain);
-
-        // Rate re-solve point 1/2: count memory-active tasks for the
-        // max-min share (exact integer reduction).
-        k.phase("chip.mem-count", n,
-                [&](std::size_t b, std::size_t e, std::size_t s) {
-                    unsigned mem = 0;
-                    for (std::size_t i = b; i < e; ++i)
-                        if (state[active[i]].bytesLeft > 0)
-                            ++mem;
-                    slice_mem[s] = mem;
-                });
-        unsigned mem_active = 0;
-        for (std::size_t s = 0; s < slices; ++s)
-            mem_active += slice_mem[s];
+        // Time to the next completion: the per-core minimum of
+        // min(computeLeft, bytesLeft / rate) equals this, because
+        // dividing by one positive rate is monotone under
+        // round-to-nearest.
         const double rate =
             mem_active ? mem_bytes_per_sec / mem_active : 0;
-
-        // Rate re-solve point 2/2: time to the next completion event
-        // (exact min reduction).
-        k.phase("chip.next-event", n,
-                [&](std::size_t b, std::size_t e, std::size_t s) {
-                    double best =
-                        std::numeric_limits<double>::infinity();
-                    for (std::size_t i = b; i < e; ++i) {
-                        const CoreState &cs = state[active[i]];
-                        double task_dt = 0;
-                        if (cs.bytesLeft > 0 && cs.computeLeft > 0)
-                            task_dt = std::min(cs.computeLeft,
-                                               cs.bytesLeft / rate);
-                        else if (cs.bytesLeft > 0)
-                            task_dt = cs.bytesLeft / rate;
-                        else
-                            task_dt = cs.computeLeft;
-                        best = std::min(best, task_dt);
-                    }
-                    slice_dt[s] = best;
-                });
-        double dt = std::numeric_limits<double>::infinity();
-        for (std::size_t s = 0; s < slices; ++s)
-            dt = std::min(dt, slice_dt[s]);
-        simAssert(dt >= 0 && dt < std::numeric_limits<double>::infinity(),
+        double dt = min_compute;
+        if (mem_active)
+            dt = std::min(dt, min_bytes / rate);
+        simAssert(dt >= 0 && dt < inf,
                   "chip sim event time must be finite");
         dt = std::max(dt, 1e-15); // numerical floor
 
         now += dt;
         k.advanceTo(now);
-        // Independent cores advance concurrently between re-solve
-        // points; all writes are core-local (load_next only reads the
-        // core's own queue).
-        k.phase("chip.advance", n,
-                [&](std::size_t b, std::size_t e, std::size_t) {
-                    for (std::size_t i = b; i < e; ++i) {
-                        const std::size_t c = active[i];
-                        CoreState &cs = state[c];
-                        cs.moved = 0;
-                        if (cs.computeLeft > 0)
-                            cs.computeLeft =
-                                std::max(0.0, cs.computeLeft - dt);
-                        if (cs.bytesLeft > 0) {
-                            const double moved =
-                                std::min(cs.bytesLeft, rate * dt);
-                            cs.bytesLeft -= moved;
-                            cs.moved = moved;
-                        }
-                        if (cs.computeLeft <= 0 && cs.bytesLeft <= 0) {
-                            if (tracer) {
-                                const std::uint64_t t0 =
-                                    traceNs(cs.taskStart);
-                                tracer->span(
-                                    obs::Domain::Chip,
-                                    std::uint32_t(c) + 1, "task",
-                                    t0, traceNs(now) - t0,
-                                    per_core[c][cs.next].memBytes);
-                            }
-                            ++cs.next;
-                            load_next(c, now);
-                        }
-                    }
-                });
-        // Fold fluid byte accounting serially in core-index order —
-        // floating-point addition is the one non-exact reduction, so
-        // its sequence must not depend on scheduling.
-        for (std::size_t i = 0; i < n; ++i)
-            bytes_moved += state[active[i]].moved;
-        active.erase(std::remove_if(active.begin(), active.end(),
-                                    [&](std::size_t c) {
-                                        return !state[c].active;
-                                    }),
-                     active.end());
+        mem_active = 0;
+        min_compute = inf;
+        min_bytes = inf;
+        // One pass in core-index order: advance, fold the fluid byte
+        // accounting, reload finished cores, compact the active set
+        // in place and tally the next re-solve.
+        std::size_t kept = 0;
+        for (const std::size_t c : active) {
+            CoreState &cs = state[c];
+            if (cs.computeLeft > 0)
+                cs.computeLeft = std::max(0.0, cs.computeLeft - dt);
+            if (cs.bytesLeft > 0) {
+                const double moved = std::min(cs.bytesLeft, rate * dt);
+                cs.bytesLeft -= moved;
+                bytes_moved += moved;
+            }
+            if (cs.computeLeft <= 0 && cs.bytesLeft <= 0) {
+                if (tracer) {
+                    const std::uint64_t t0 = traceNs(cs.taskStart);
+                    tracer->span(obs::Domain::Chip,
+                                 std::uint32_t(c) + 1, "task", t0,
+                                 traceNs(now) - t0,
+                                 per_core[c][cs.next].memBytes);
+                }
+                ++cs.next;
+                load_next(c, now);
+                if (!cs.active)
+                    continue;
+            }
+            active[kept++] = c;
+            tally(cs);
+        }
+        active.resize(kept);
 
         if (++guard > options.guardLimit) {
             std::uint64_t done = 0;
@@ -317,10 +244,8 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         CoreTask current;           ///< full values, for restart
         double computeLeft = 0;
         double bytesLeft = 0;
-        double moved = 0;           ///< bytes drained this event
         bool active = false;
         bool alive = true;
-        bool reload = false;        ///< completed; refill after advance
         double pausedUntil = 0;     ///< transient repair window
         double slowdown = 1.0;      ///< straggler compute stretch
         std::size_t eventIdx = 0;   ///< next unapplied fault event
@@ -417,9 +342,7 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         if (state[c].alive)
             load_next(c, now);
 
-    const std::size_t grain = options.parallelGrain;
-
-    des::Kernel kernel(kernelOptions(options));
+    des::Kernel kernel;
     int guard = 0;
 
     // One degraded-mode re-solve per kernel event. The handler either
@@ -510,51 +433,35 @@ runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
         const double t0 = now; // running() must see the old time
         now += dt;
         k.advanceTo(now);
-        // Parallel advance between re-solve points: all writes are
-        // core-local; completed cores defer their queue/orphan refill
-        // to the serial index-ordered pass below, so the shared
-        // orphan deque is popped in the same deterministic order as a
-        // serial run (lowest-index core first).
-        k.phase("chip.advance", cores,
-                [&](std::size_t b, std::size_t e, std::size_t) {
-                    for (std::size_t c = b; c < e; ++c) {
-                        CoreState &cs = state[c];
-                        cs.moved = 0;
-                        if (!cs.active || !cs.alive ||
-                            t0 < cs.pausedUntil)
-                            continue;
-                        if (cs.computeLeft > 0)
-                            cs.computeLeft = std::max(
-                                0.0,
-                                cs.computeLeft - dt / cs.slowdown);
-                        if (cs.bytesLeft > 0) {
-                            const double moved =
-                                std::min(cs.bytesLeft, rate * dt);
-                            cs.bytesLeft -= moved;
-                            cs.moved = moved;
-                        }
-                        if (cs.computeLeft <= 0 && cs.bytesLeft <= 0)
-                            cs.reload = true;
-                    }
-                });
+        // Advance in core-index order. A completed core refills from
+        // its queue, then from the orphan pool, before the next core
+        // advances, so the shared orphan deque is popped lowest-index
+        // core first.
         for (std::size_t c = 0; c < cores; ++c) {
             CoreState &cs = state[c];
-            bytes_moved += cs.moved;
-            if (cs.reload) {
-                cs.reload = false;
-                if (tracer) {
-                    // The span covers the whole residency including
-                    // repair pauses and restarts, matching what a
-                    // wall-observer of the degraded chip would see.
-                    const std::uint64_t t0 = traceNs(cs.taskStart);
-                    tracer->span(obs::Domain::Chip,
-                                 std::uint32_t(c) + 1, "task", t0,
-                                 traceNs(now) - t0,
-                                 cs.current.memBytes);
-                }
-                ++cs.next;
-                load_next(c, now);
+            if (!cs.active || !cs.alive || t0 < cs.pausedUntil)
+                continue;
+            if (cs.computeLeft > 0)
+                cs.computeLeft =
+                    std::max(0.0, cs.computeLeft - dt / cs.slowdown);
+            if (cs.bytesLeft > 0) {
+                const double moved = std::min(cs.bytesLeft, rate * dt);
+                cs.bytesLeft -= moved;
+                bytes_moved += moved;
             }
+            if (cs.computeLeft > 0 || cs.bytesLeft > 0)
+                continue;
+            if (tracer) {
+                // The span covers the whole residency including
+                // repair pauses and restarts, matching what a
+                // wall-observer of the degraded chip would see.
+                const std::uint64_t start = traceNs(cs.taskStart);
+                tracer->span(obs::Domain::Chip, std::uint32_t(c) + 1,
+                             "task", start, traceNs(now) - start,
+                             cs.current.memBytes);
+            }
+            ++cs.next;
+            load_next(c, now);
         }
         apply_events(now);
         if (++guard > options.guardLimit) {

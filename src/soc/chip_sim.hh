@@ -13,13 +13,10 @@
  * Hot-path structure: the simulation is a des::Kernel client — each
  * rate re-solve is one kernel event that re-arms itself while work
  * remains, and it only touches an *active-core index set* (finished
- * cores leave every scan). Between two shared-memory rate re-solve
- * points the independent per-core state advances as a kernel *phase*
- * (fixed-grain slices over runtime::parallelFor). Determinism
- * contract: slice boundaries are thread-count independent, phase
- * reductions are exact (min / integer counts), and fluid byte
- * accounting is serialized in core-index order — so results are
- * byte-identical at any ASCEND_THREADS and any slice grain.
+ * cores leave every scan). One serial pass per event advances the
+ * cores, folds the fluid byte accounting in core-index order and
+ * tallies the next re-solve, so results are byte-identical at any
+ * ASCEND_THREADS.
  *
  * Used to study block-level parallel execution (Section 5.2) on the
  * 910: how uneven layer splits and memory interference stretch the
@@ -29,7 +26,6 @@
 #ifndef ASCEND_SOC_CHIP_SIM_HH
 #define ASCEND_SOC_CHIP_SIM_HH
 
-#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
@@ -65,7 +61,7 @@ struct ChipSimResult
     /// @}
 };
 
-/** Tuning and safety knobs of the fluid event loop. */
+/** Options of the fluid event loop. */
 struct ChipSimOptions
 {
     /**
@@ -74,18 +70,6 @@ struct ChipSimOptions
      * livelock; genuine workloads complete in O(total tasks) events).
      */
     int guardLimit = 4 * 1000 * 1000;
-
-    /**
-     * Active cores per kernel phase slice (forwarded to
-     * des::KernelOptions::parallelGrain). Active sets smaller than
-     * two slices advance inline (fan-out overhead would dominate at
-     * SoC scale); results never depend on the grain or the thread
-     * count. ASCEND_CHIPSIM_GRAIN overrides the default.
-     */
-    std::size_t parallelGrain = 512;
-
-    /** Defaults with ASCEND_CHIPSIM_GRAIN applied (parsed once). */
-    static ChipSimOptions fromEnv();
 };
 
 /**
@@ -97,8 +81,7 @@ struct ChipSimOptions
  */
 ChipSimResult runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                          double mem_bytes_per_sec,
-                         const ChipSimOptions &options =
-                             ChipSimOptions::fromEnv());
+                         const ChipSimOptions &options = {});
 
 /**
  * Degraded-mode variant: same fluid model plus a per-core fault plan.
@@ -115,8 +98,7 @@ ChipSimResult runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
 ChipSimResult runChipSim(const std::vector<std::vector<CoreTask>> &per_core,
                          double mem_bytes_per_sec,
                          const resilience::ChipFaultPlan &plan,
-                         const ChipSimOptions &options =
-                             ChipSimOptions::fromEnv());
+                         const ChipSimOptions &options = {});
 
 /**
  * Convenience: the fluid makespan of one chip step under an optional

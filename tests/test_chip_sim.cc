@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ios>
+
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -15,6 +18,7 @@
 #include "isa/verify.hh"
 #include "model/zoo.hh"
 #include "noc/mesh.hh"
+#include "resilience/fault_schedule.hh"
 #include "soc/chip_sim.hh"
 
 namespace ascend {
@@ -140,9 +144,7 @@ TEST(ChipSim, GuardLimitRaisesStructuredErrorUnderFaults)
     }
 }
 
-// The serial-vs-parallel bit-identity checks moved to
-// test_determinism.cc, which sweeps thread counts x grains
-// in one seeded fuzz loop.
+// Thread-count invariance is checked in test_determinism.cc.
 
 TEST(ChipSim, ActiveSetSkipsLongFinishedCores)
 {
@@ -158,6 +160,77 @@ TEST(ChipSim, ActiveSetSkipsLongFinishedCores)
     const auto r = soc::runChipSim(work, 1e9);
     EXPECT_NEAR(r.makespan, 16.0, 1e-6);
     EXPECT_NEAR(r.coreFinish[1], 9.0, 1e-6);
+}
+
+/**
+ * 256 queues of 32 tasks on a coarse grid (five compute steps, eleven
+ * byte sizes), so many cores finish tasks at the same instant and one
+ * event retires many tasks at once.
+ */
+std::vector<std::vector<soc::CoreTask>>
+coarseGridWork()
+{
+    std::vector<std::vector<soc::CoreTask>> work(256);
+    for (unsigned c = 0; c < work.size(); ++c)
+        for (unsigned k = 0; k < 32; ++k)
+            work[c].push_back(soc::CoreTask{
+                1e-4 * double(1 + (c + 3 * k) % 5),
+                Bytes((c % 11) + (k % 7) + 1) * kMiB});
+    return work;
+}
+
+/** FNV-1a over the bit patterns of every per-core finish time. */
+std::uint64_t
+finishHash(const soc::ChipSimResult &r)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (double f : r.coreFinish) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &f, sizeof(bits));
+        for (int b = 0; b < 8; ++b) {
+            h ^= (bits >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+TEST(ChipSim, CoarseGridMatchesFrozenGolden)
+{
+    // Frozen from the three-phase event loop; the results must stay
+    // bit-identical across any rewrite of the per-event pass.
+    const auto r = soc::runChipSim(coarseGridWork(), 2e12);
+    EXPECT_EQ(r.makespan, 0x1.38c868bed1c2p-5)
+        << std::hexfloat << r.makespan;
+    EXPECT_EQ(r.avgMemUtilization, 0x1.f8d8d0a8f9d3dp-1)
+        << std::hexfloat << r.avgMemUtilization;
+    EXPECT_EQ(finishHash(r), 0x4a3795f7e15f29f4ULL)
+        << std::hex << finishHash(r);
+}
+
+TEST(ChipSimFaults, CoarseGridMatchesFrozenGolden)
+{
+    resilience::FaultSpec spec;
+    spec.seed = 21;
+    spec.cores = 256;
+    spec.horizonSec = 0.02;
+    spec.stragglerFraction = 0.2;
+    spec.stragglerSlowdown = 1.5;
+    spec.coreTransientPerSec = 100.0;
+    spec.coreRepairSec = 2e-4;
+    spec.corePermanentPerSec = 20.0;
+    const auto plan = resilience::ChipFaultPlan::fromSchedule(
+        resilience::FaultSchedule::generate(spec), 256);
+    const auto r = soc::runChipSim(coarseGridWork(), 2e12, plan);
+    EXPECT_GT(r.coreFailures, 0u);
+    EXPECT_GT(r.reDispatchedTasks, 0u);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.makespan, 0x1.4a14f5687faafp-5)
+        << std::hexfloat << r.makespan;
+    EXPECT_EQ(r.avgMemUtilization, 0x1.ee8c0ab7b6dabp-1)
+        << std::hexfloat << r.avgMemUtilization;
+    EXPECT_EQ(finishHash(r), 0xd9869403a01554f5ULL)
+        << std::hex << finishHash(r);
 }
 
 // ------------------------------------------------------ histogram

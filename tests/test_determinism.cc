@@ -1,10 +1,9 @@
 /**
  * @file
- * Determinism fuzz: one seeded sweep asserting byte-identical result
+ * Determinism fuzz: seeded sweeps asserting byte-identical result
  * fingerprints across thread-pool sizes (the in-process equivalent of
- * ASCEND_THREADS, via runtime::ScopedThreadPoolSize) x chip-sim
- * parallel grains (ASCEND_CHIPSIM_GRAIN). Subsumes the old pairwise
- * serial-vs-parallel checks that lived in test_chip_sim.cc.
+ * ASCEND_THREADS, via runtime::ScopedThreadPoolSize), and for the DES
+ * kernel's phases also across slice grains.
  *
  * Fingerprints print every field with %.17g / exact integers, so any
  * single-ULP drift in a floating-point reduction fails the EXPECT_EQ
@@ -88,35 +87,25 @@ randomWorkload(std::uint64_t seed, unsigned cores, unsigned tasks)
     return work;
 }
 
-TEST(Determinism, ChipSimAcrossThreadsAndGrains)
+TEST(Determinism, ChipSimAcrossThreads)
 {
     for (std::uint64_t seed : {7ull, 1234ull}) {
         const auto work = randomWorkload(seed, 64, 12);
         std::string base;
         for (unsigned threads : kThreadCounts) {
-            for (std::size_t grain : kGrains) {
-                runtime::ScopedThreadPoolSize pool(threads);
-                soc::ChipSimOptions options;
-                options.parallelGrain = grain;
-                const std::string now =
-                    fingerprint(soc::runChipSim(work, 2e12, options));
-                if (base.empty())
-                    base = now;
-                else
-                    EXPECT_EQ(now, base)
-                        << "seed " << seed << " threads " << threads
-                        << " grain " << grain;
-            }
+            runtime::ScopedThreadPoolSize pool(threads);
+            const std::string now =
+                fingerprint(soc::runChipSim(work, 2e12));
+            if (base.empty())
+                base = now;
+            else
+                EXPECT_EQ(now, base)
+                    << "seed " << seed << " threads " << threads;
         }
-        // Fully serial slicing (one giant chunk) must also agree.
-        soc::ChipSimOptions serial;
-        serial.parallelGrain = 1 << 20;
-        EXPECT_EQ(fingerprint(soc::runChipSim(work, 2e12, serial)),
-                  base);
     }
 }
 
-TEST(Determinism, ChipSimUnderFaultsAcrossThreadsAndGrains)
+TEST(Determinism, ChipSimUnderFaultsAcrossThreads)
 {
     const auto work = randomWorkload(99, 48, 8);
     resilience::FaultSpec spec;
@@ -133,18 +122,13 @@ TEST(Determinism, ChipSimUnderFaultsAcrossThreadsAndGrains)
     std::string base;
     unsigned base_failures = 0;
     for (unsigned threads : kThreadCounts) {
-        for (std::size_t grain : kGrains) {
-            runtime::ScopedThreadPoolSize pool(threads);
-            soc::ChipSimOptions options;
-            options.parallelGrain = grain;
-            const auto r = soc::runChipSim(work, 2e12, plan, options);
-            if (base.empty()) {
-                base = fingerprint(r);
-                base_failures = r.coreFailures;
-            } else {
-                EXPECT_EQ(fingerprint(r), base)
-                    << "threads " << threads << " grain " << grain;
-            }
+        runtime::ScopedThreadPoolSize pool(threads);
+        const auto r = soc::runChipSim(work, 2e12, plan);
+        if (base.empty()) {
+            base = fingerprint(r);
+            base_failures = r.coreFailures;
+        } else {
+            EXPECT_EQ(fingerprint(r), base) << "threads " << threads;
         }
     }
     EXPECT_GT(base_failures, 0u); // the fault plan actually bites

@@ -20,6 +20,7 @@
 #include "runtime/perf_stats.hh"
 #include "runtime/sim_session.hh"
 #include "soc/training_soc.hh"
+#include "surrogate/surrogate.hh"
 
 using namespace ascend;
 
@@ -314,6 +315,33 @@ TEST(GraphCacheKeys, GraphResultIsMemoized)
     EXPECT_EQ(again.totalCycles, first.totalCycles);
     EXPECT_EQ(runtime::graphTotals().graphCacheHits, 1u);
     EXPECT_EQ(runtime::graphTotals().graphsLowered, 0u);
+}
+
+TEST(GraphCacheKeys, SurrogateTotalsNeverServeExactSessions)
+{
+    // A surrogate-on session and an exact one sharing a cache: the
+    // exact session must not be served the predicted totals.
+    const graph::Graph g = graph::zoo::resnet50Graph(11);
+    const arch::CoreConfig core = soc::TrainingSoc().coreConfig();
+    surrogate::SurrogateOptions on;
+    on.enabled = true;
+    const auto shared = std::make_shared<runtime::SimCache>();
+    const runtime::SimSession predicted(core, {}, shared, {}, on);
+    const runtime::SimSession exact(core, {}, shared, {},
+                                    surrogate::SurrogateOptions{});
+    const runtime::SimSession alone(
+        core, {}, std::make_shared<runtime::SimCache>(), {},
+        surrogate::SurrogateOptions{});
+
+    EXPECT_NE(graph::graphCacheKey(predicted, g),
+              graph::graphCacheKey(exact, g));
+    // The predicted totals differ from the exact ones, so an aliased
+    // memo entry would show in the exact session's cycles.
+    const Cycles guess = graph::graphResult(predicted, g).totalCycles;
+    const Cycles cycles = graph::graphResult(exact, g).totalCycles;
+    EXPECT_NE(guess, cycles);
+    EXPECT_EQ(cycles, graph::graphResult(alone, g).totalCycles);
+    EXPECT_EQ(cycles, 20892445u);
 }
 
 // --------------------------------------------------- tracer

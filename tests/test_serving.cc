@@ -9,7 +9,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <ios>
 #include <string>
 #include <vector>
 
@@ -474,6 +476,66 @@ TEST(ServingFleet, AutoscalerAddsReplicasUnderSustainedBacklog)
 
     const FleetResult fixed = run(2.0, baseOptions());
     EXPECT_GT(scaled.goodput, fixed.goodput);
+}
+
+/** FNV-1a over a report and the bit patterns of its latencies. */
+std::uint64_t
+resultHash(const FleetResult &r)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](unsigned char byte) {
+        h ^= byte;
+        h *= 0x100000001b3ULL;
+    };
+    for (char c : r.report())
+        mix(static_cast<unsigned char>(c));
+    for (double v : r.latencies) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        for (int b = 0; b < 8; ++b)
+            mix(static_cast<unsigned char>(bits >> (8 * b)));
+    }
+    return h;
+}
+
+TEST(ServingFleet, NoCheckpointStoreDispatchesNoQuiescentPoints)
+{
+    FleetOptions o = baseOptions();
+    o.replicas = 4;
+    o.hedge.enabled = true;
+    o.hedge.afterSec = 8e-3;
+    o.autoscale.enabled = true;
+    o.autoscale.checkIntervalSec = 5e-3;
+    o.autoscale.queueDepthPerReplica = 8;
+    o.autoscale.spinUpSec = 0.02;
+    o.autoscale.maxExtraReplicas = 2;
+    FaultSpec spec = oneDeathPerCore(4, 0.5);
+    spec.stragglerFraction = 0.5;
+    spec.stragglerSlowdown = 4.0;
+
+    runtime::resetKernelTotals();
+    const FleetResult r = run(1.5, o, spec);
+    const runtime::KernelCounters k = runtime::kernelTotals();
+    EXPECT_GT(k.eventsDispatched, 0u);
+    EXPECT_EQ(k.quiescentPoints, 0u);
+    // Frozen from the run that armed a quiescent marker every step.
+    EXPECT_EQ(resultHash(r), 0x08d679c9e93593b5ULL)
+        << std::hex << resultHash(r);
+
+    // A checkpointed twin still gets its markers and simulates the
+    // same requests.
+    const std::string dir = tempDir("quiescent");
+    std::filesystem::remove_all(dir);
+    FleetOptions saved = o;
+    saved.checkpointDir = dir;
+    saved.checkpointIntervalSec = 0.05;
+    runtime::resetKernelTotals();
+    const FleetResult c = run(1.5, saved, spec);
+    EXPECT_GT(runtime::kernelTotals().quiescentPoints, 0u);
+    EXPECT_GT(c.checkpointsSaved, 0u);
+    EXPECT_EQ(c.latencies, r.latencies);
+    EXPECT_EQ(c.completed, r.completed);
+    std::filesystem::remove_all(dir);
 }
 
 // -------------------------------- correlated faults and defenses
